@@ -37,7 +37,8 @@ Scenario verbs (see :mod:`repro.core.scenario`):
                pool (``--workers/--timeout/--retries``); one resumable
                JSON artifact per task under ``--out``
                (``--fresh`` re-runs completed tasks, ``--gc`` prunes
-               error/stale artifacts from the ledger)
+               error/stale artifacts of every kind from the ledger and
+               keeps valid chaos/congest ones)
 ``chaos``      discrete-event fault injection: replay a seeded failure
                timeline (node deaths, link failures, storage slowdowns,
                MTTR repairs) against scheduler + fabric with
@@ -53,10 +54,8 @@ Scenario verbs (see :mod:`repro.core.scenario`):
 ``congest``    time-stepped congestion study: an incast (N senders ->
                one victim plus elephants) run once without backpressure
                and once per ECN marking threshold (``--k`` sweep), all
-               arms integrated as one batched ensemble
-               (``--sequential`` keeps the per-arm oracle loop, with a
-               byte-identical artifact); prints the victim-tail table
-               and writes a resumable artifact under
+               arms integrated as one batched ensemble; prints the
+               victim-tail table and writes a resumable artifact under
                ``benchmarks/out/congest``; ``--backoffs B1,B2`` runs
                the k x backoff ablation grid instead (one ensemble, not
                cached); ``--validate`` scores the fluid engine against
@@ -434,8 +433,9 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
 def _cmd_chaos(args: "argparse.Namespace") -> int:
     from dataclasses import replace
 
-    from repro.chaos import ChaosConfig, run_chaos_cached
+    from repro.chaos import ChaosConfig, run_chaos
     from repro.chaos.validate import cross_validate
+    from repro.sweep.artifacts import resume_or_compute, run_id
 
     if args.validate and args.heal:
         from repro.chaos.heal import cross_validate_heal
@@ -508,8 +508,9 @@ def _cmd_chaos(args: "argparse.Namespace") -> int:
                          uniform_blast=args.uniform_blast,
                          mttr_scale=args.mttr_scale,
                          adaptive_prior_scale=args.prior_scale)
-    doc, path, resumed = run_chaos_cached(spec, config, out_dir=args.out,
-                                          fresh=args.fresh)
+    doc, path, resumed = resume_or_compute(
+        args.out, "chaos", run_id(spec, config),
+        lambda: run_chaos(spec, config).to_doc(), fresh=args.fresh)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -607,9 +608,10 @@ def _cmd_compare(args: "argparse.Namespace") -> int:
 
 
 def _cmd_congest(args: "argparse.Namespace") -> int:
-    from repro.fabric.timeflow import (CongestConfig, run_congest_cached,
+    from repro.fabric.timeflow import (CongestConfig, run_congest,
                                        run_congest_grid,
                                        validate_victim_impact)
+    from repro.sweep.artifacts import resume_or_compute, run_id
 
     if args.validate:
         val = validate_victim_impact()
@@ -654,9 +656,9 @@ def _cmd_congest(args: "argparse.Namespace") -> int:
                 cell["max_queue_mtus"], cell["marks"]])
         print(table.render())
         return 0
-    doc, path, resumed = run_congest_cached(spec, config, out_dir=args.out,
-                                            fresh=args.fresh,
-                                            sequential=args.sequential)
+    doc, path, resumed = resume_or_compute(
+        args.out, "congest", run_id(spec, config),
+        lambda: run_congest(spec, config), fresh=args.fresh)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -996,10 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "microseconds (default 300)")
     congest.add_argument("--seed", type=int, default=0,
                          help="RNG seed (elephant start times; default 0)")
-    congest.add_argument("--sequential", action="store_true",
-                         help="integrate one engine run per arm instead "
-                              "of one batched ensemble (the oracle the "
-                              "ensemble is bit-identical to)")
     congest.add_argument("--backoffs", metavar="B1,B2",
                          help="run the k x backoff ablation grid with "
                               "these multiplicative-decrease factors "

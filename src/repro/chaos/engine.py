@@ -28,17 +28,14 @@ to it.  Storage slowdowns close and reopen segments with a scaled
 checkpoint cost (the partial cycle at the boundary is forfeited — a
 conservative, documented bias that vanishes as segments grow).
 
-Results persist as resumable artifacts under ``benchmarks/out/chaos/``
-keyed by a content hash of (spec, config), in the same spirit as
-:mod:`repro.sweep.artifacts`: re-running the same configuration loads
-the finished document instead of re-simulating.
+Results persist in the artifact ledger (:mod:`repro.sweep.artifacts`,
+kind ``chaos``) keyed by a content hash of (spec, config): re-running
+the same configuration loads the finished document instead of
+re-simulating.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -48,21 +45,14 @@ from repro import obs
 from repro.chaos.events import ChaosTimeline, sample_timeline
 from repro.core.scenario import MachineSpec
 from repro.errors import ConfigurationError
-from repro.obs.export import write_json
 from repro.resilience.blast_radius import FailureDomainModel
 from repro.resilience.checkpoint import CheckpointPlan, checkpoint_efficiency
 from repro.resilience.fit import frontier_fit_inventory
 from repro.resilience.mtti import MttiModel
 from repro.rng import RngLike
+from repro.sweep.artifacts import ARTIFACT_KINDS, run_id
 
-__all__ = ["ChaosConfig", "JobReport", "ChaosResult", "run_chaos",
-           "chaos_run_id", "chaos_artifact_path", "load_chaos_artifact",
-           "run_chaos_cached", "DEFAULT_CHAOS_DIR", "CHAOS_SCHEMA_VERSION"]
-
-CHAOS_SCHEMA_VERSION = 1
-
-#: Default artifact directory (mirrors the sweep engine's layout).
-DEFAULT_CHAOS_DIR = os.path.join("benchmarks", "out", "chaos")
+__all__ = ["ChaosConfig", "JobReport", "ChaosResult", "run_chaos"]
 
 
 @dataclass(frozen=True)
@@ -216,7 +206,7 @@ class ChaosResult:
     def to_doc(self) -> dict[str, Any]:
         """The persistable artifact document (``status: ok``)."""
         doc = {
-            "schema": CHAOS_SCHEMA_VERSION,
+            "schema": ARTIFACT_KINDS["chaos"].schema,
             "status": "ok",
             "run_id": self.run_id,
             "spec": self.spec.to_dict(),
@@ -687,64 +677,9 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
         node_down_hours=node_down_hours,
         job_series={run.name: list(run.series) for run in runs},
         fabric_series=fabric_series,
-        run_id=chaos_run_id(spec, config))
+        run_id=run_id(spec, config))
     obs.gauge("chaos.machine_availability").set(availability)
     return result
-
-
-# -- resumable artifacts ------------------------------------------------------
-
-
-def chaos_run_id(spec: MachineSpec, config: ChaosConfig) -> str:
-    """Content hash identifying one (spec, config) chaos run."""
-    blob = json.dumps({"spec": spec.to_dict(), "config": config.to_dict()},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def chaos_artifact_path(out_dir: str, run_id: str) -> str:
-    return os.path.join(out_dir, f"chaos-{run_id}.json")
-
-
-def load_chaos_artifact(out_dir: str, run_id: str) -> dict[str, Any] | None:
-    """The finished artifact for ``run_id``, or ``None``.
-
-    Only a well-formed document with ``status == "ok"`` and a matching
-    embedded run id is trusted (same contract as the sweep engine's
-    resume: a crashed or foreign file re-runs rather than poisoning).
-    """
-    path = chaos_artifact_path(out_dir, run_id)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("status") != "ok":
-        return None
-    if doc.get("run_id") != run_id or doc.get("schema") != CHAOS_SCHEMA_VERSION:
-        return None
-    return doc
-
-
-def run_chaos_cached(spec: MachineSpec, config: ChaosConfig | None = None, *,
-                     out_dir: str = DEFAULT_CHAOS_DIR, fresh: bool = False
-                     ) -> tuple[dict[str, Any], str, bool]:
-    """Run (or resume) a chaos experiment; returns (doc, path, resumed).
-
-    ``fresh=True`` ignores and overwrites any existing artifact.
-    """
-    config = config if config is not None else ChaosConfig()
-    run_id = chaos_run_id(spec, config)
-    path = chaos_artifact_path(out_dir, run_id)
-    if not fresh:
-        doc = load_chaos_artifact(out_dir, run_id)
-        if doc is not None:
-            obs.counter("chaos.artifacts_resumed").inc()
-            return doc, path, True
-    doc = run_chaos(spec, config).to_doc()
-    write_json(path, doc)
-    obs.counter("chaos.artifacts_written").inc()
-    return doc, path, False
 
 
 def validation_config(**overrides: Any) -> ChaosConfig:

@@ -36,16 +36,13 @@ Cross-validation (``tests/fabric/test_timeflow.py`` and the
   explode), the ECN loop the ``per_flow_fair`` shape (victim tails
   bounded near the marking threshold).
 
-Results persist as resumable content-hash artifacts under
-``benchmarks/out/congest/`` (same contract as :mod:`repro.chaos`), via
+Results persist in the artifact ledger (:mod:`repro.sweep.artifacts`,
+kind ``congest``) keyed by a content hash of (spec, config), via
 ``python -m repro congest``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -63,17 +60,8 @@ __all__ = [
     "TimeflowEngine", "EnsembleEngine", "ENSEMBLE_SHARED_AXES",
     "fct_stats", "incast_pattern",
     "ImpactValidation", "validate_victim_impact",
-    "CongestConfig", "run_congest", "run_congest_cached",
-    "run_congest_grid",
-    "congest_run_id", "congest_artifact_path", "load_congest_artifact",
-    "DEFAULT_CONGEST_DIR", "CONGEST_SCHEMA_VERSION",
+    "CongestConfig", "run_congest", "run_congest_grid",
 ]
-
-#: Default artifact directory (mirrors the sweep/chaos layout).
-DEFAULT_CONGEST_DIR = os.path.join("benchmarks", "out", "congest")
-
-#: Artifact schema (bumped on incompatible document changes).
-CONGEST_SCHEMA_VERSION = 1
 
 #: Fraction of line rate a single uncontrolled stream sustains (protocol
 #: overheads; matches ``repro.fabric.network.STREAM_EFFICIENCY``).
@@ -293,11 +281,10 @@ class TimeflowEngine:
     """Fluid time-stepped congestion simulation of one traffic phase.
 
     Paths are planned once through the router's batch planner
-    (``router.paths`` -> CSR :class:`BatchPaths`; scalar routers fall
-    back to ``path()``), then the run is pure array work: two sparse
-    matvecs per step (link arrivals, per-flow mark lookup) over the
-    link x flow incidence built straight from the CSR arrays — the same
-    zero-copy interchange the max-min solver uses.
+    (``router.paths`` -> CSR :class:`BatchPaths`), then the run is pure
+    array work: two sparse matvecs per step (link arrivals, per-flow mark
+    lookup) over the link x flow incidence built straight from the CSR
+    arrays — the same zero-copy interchange the max-min solver uses.
     """
 
     def __init__(self, network, flows: Sequence[FlowSpec],
@@ -311,16 +298,7 @@ class TimeflowEngine:
 
         pairs = [(f.src, f.dst) for f in self.flows]
         network.router.reset_load()
-        batch = getattr(network.router, "paths", None)
-        if batch is not None:
-            self.paths: BatchPaths = batch(pairs, chunk=chunk)
-        else:  # custom scalar router: compact its lists to CSR
-            lists = [network.router.path(s, d) for s, d in pairs]
-            indices = np.fromiter((link for p in lists for link in p),
-                                  dtype=np.int64)
-            indptr = np.concatenate(
-                ([0], np.cumsum([len(p) for p in lists])))
-            self.paths = BatchPaths(indices, indptr)
+        self.paths: BatchPaths = network.router.paths(pairs, chunk=chunk)
 
         self.caps = np.asarray(network.topology.capacities(), dtype=float)
         n_links, n_flows = len(self.caps), len(self.flows)
@@ -940,11 +918,13 @@ def run_congest(spec, config: CongestConfig | None = None, *,
     as **one ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step
     loop, one sparse matmul per step).  ``sequential=True`` runs the
     scalar per-arm loop over the same engine: the oracle the ensemble
-    is bit-identical to, asserted by the CI congest smoke and
-    ``bench_congest_ensemble.py``.  Both paths produce byte-identical
-    artifact documents, so run ids, resume, and the sweep ledger are
-    untouched.
+    is bit-identical to, asserted by the ``ensemble`` regression probe,
+    the tests and ``bench_congest_ensemble.py``.  Both paths produce
+    byte-identical documents, so the ledger's run id never sees the
+    switch.
     """
+    # function scope: fabric-only callers never pay for importing repro.sweep
+    from repro.sweep.artifacts import ARTIFACT_KINDS, run_id
     config = config if config is not None else CongestConfig()
     run_spec, net = _study_network(spec, config.seed)
     flows = incast_pattern(
@@ -972,9 +952,9 @@ def run_congest(spec, config: CongestConfig | None = None, *,
          **result.to_doc()}
         for (mode, k), result in zip(modes, results)]
     doc: dict[str, Any] = {
-        "schema": CONGEST_SCHEMA_VERSION,
+        "schema": ARTIFACT_KINDS["congest"].schema,
         "status": "ok",
-        "run_id": congest_run_id(spec, config),
+        "run_id": run_id(spec, config),
         "spec": spec.to_dict(),
         "network": run_spec.name,
         "config": config.to_dict(),
@@ -988,63 +968,6 @@ def run_congest(spec, config: CongestConfig | None = None, *,
             / a["classes"]["victim"]["latency_s"]["p99"]
             for a in arms if a["mode"] == "ecn"}
     return doc
-
-
-def congest_run_id(spec, config: CongestConfig) -> str:
-    """Content hash identifying one (spec, config) congest study."""
-    blob = json.dumps({"spec": spec.to_dict(), "config": config.to_dict()},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def congest_artifact_path(out_dir: str, run_id: str) -> str:
-    return os.path.join(out_dir, f"congest-{run_id}.json")
-
-
-def load_congest_artifact(out_dir: str, run_id: str) -> dict[str, Any] | None:
-    """The finished artifact for ``run_id``, or ``None``.
-
-    Same trust contract as the sweep/chaos ledgers: only a well-formed
-    ``status == "ok"`` document with matching run id and schema resumes;
-    anything else re-runs.
-    """
-    path = congest_artifact_path(out_dir, run_id)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("status") != "ok":
-        return None
-    if (doc.get("run_id") != run_id
-            or doc.get("schema") != CONGEST_SCHEMA_VERSION):
-        return None
-    return doc
-
-
-def run_congest_cached(spec, config: CongestConfig | None = None, *,
-                       out_dir: str = DEFAULT_CONGEST_DIR,
-                       fresh: bool = False, sequential: bool = False
-                       ) -> tuple[dict[str, Any], str, bool]:
-    """Run (or resume) a congest study; returns (doc, path, resumed).
-
-    ``sequential`` selects the per-arm integration loop instead of the
-    ensemble; the documents are byte-identical either way, so the run id
-    and the resume contract do not see the switch.
-    """
-    from repro.obs.export import write_json
-    config = config if config is not None else CongestConfig()
-    run_id = congest_run_id(spec, config)
-    path = congest_artifact_path(out_dir, run_id)
-    if not fresh:
-        doc = load_congest_artifact(out_dir, run_id)
-        if doc is not None:
-            obs.counter("fabric.timeflow.artifacts_resumed").inc()
-            return doc, path, True
-    doc = run_congest(spec, config, sequential=sequential)
-    write_json(path, doc)
-    obs.counter("fabric.timeflow.artifacts_written").inc()
-    return doc, path, False
 
 
 def run_congest_grid(spec, config: CongestConfig | None = None, *,
@@ -1062,6 +985,7 @@ def run_congest_grid(spec, config: CongestConfig | None = None, *,
     they are interactive ablations, and the ensemble keeps recomputing
     them cheap.
     """
+    from repro.sweep.artifacts import ARTIFACT_KINDS
     config = config if config is not None else CongestConfig()
     backoffs = tuple(float(b) for b in backoffs)
     if not backoffs:
@@ -1088,7 +1012,7 @@ def run_congest_grid(spec, config: CongestConfig | None = None, *,
     with obs.span("fabric.timeflow.grid", cells=len(cells)):
         results = EnsembleEngine(net, flows, cfgs).run()
     doc: dict[str, Any] = {
-        "schema": CONGEST_SCHEMA_VERSION,
+        "schema": ARTIFACT_KINDS["congest"].schema,
         "status": "ok",
         "network": run_spec.name,
         "config": config.to_dict(),

@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.chaos import (EFFICIENCY_TOLERANCE, MIN_EVENTS, RATE_TOLERANCE,
-                         ChaosConfig, chaos_artifact_path, chaos_run_id,
-                         cross_validate, load_chaos_artifact, run_chaos,
-                         run_chaos_cached, validation_config, validation_spec)
+                         ChaosConfig, cross_validate, run_chaos,
+                         validation_config, validation_spec)
 from repro.errors import ConfigurationError
+from repro.sweep.artifacts import run_id
 from repro.sweep.plan import task_hash
 
 #: One validation run per module — ~2,450 events over 1,000 h, shared by
@@ -95,53 +95,18 @@ class TestConfigValidation:
 
 
 class TestArtifacts:
+    """Artifact identity; the ledger contract itself is tested once for
+    every kind in ``tests/sweep/test_artifacts.py``."""
+
     SPEC = validation_spec(failure_scale=50.0)
     CONFIG = validation_config(horizon_h=48.0)
 
-    def test_write_then_resume(self, tmp_path):
-        out = str(tmp_path)
-        doc, path, resumed = run_chaos_cached(self.SPEC, self.CONFIG,
-                                              out_dir=out)
-        assert not resumed and doc["status"] == "ok"
-        again, path2, resumed2 = run_chaos_cached(self.SPEC, self.CONFIG,
-                                                  out_dir=out)
-        assert resumed2 and path2 == path and again == doc
-
-    def test_fresh_overwrites(self, tmp_path):
-        out = str(tmp_path)
-        doc, _, _ = run_chaos_cached(self.SPEC, self.CONFIG, out_dir=out)
-        redone, _, resumed = run_chaos_cached(self.SPEC, self.CONFIG,
-                                              out_dir=out, fresh=True)
-        assert not resumed and redone == doc     # deterministic re-run
-
-    def test_corrupt_artifact_reruns(self, tmp_path):
-        out = str(tmp_path)
-        run_id = chaos_run_id(self.SPEC, self.CONFIG)
-        _, path, _ = run_chaos_cached(self.SPEC, self.CONFIG, out_dir=out)
-        with open(path, "w") as fh:
-            fh.write("{ truncated")
-        assert load_chaos_artifact(out, run_id) is None
-        _, _, resumed = run_chaos_cached(self.SPEC, self.CONFIG, out_dir=out)
-        assert not resumed
-
-    def test_foreign_or_failed_artifact_distrusted(self, tmp_path):
-        out = str(tmp_path)
-        run_id = chaos_run_id(self.SPEC, self.CONFIG)
-        path = chaos_artifact_path(out, run_id)
-        for doc in ({"status": "error", "run_id": run_id, "schema": 1},
-                    {"status": "ok", "run_id": "deadbeefdeadbeef",
-                     "schema": 1},
-                    {"status": "ok", "run_id": run_id, "schema": 999}):
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-            assert load_chaos_artifact(out, run_id) is None
-
     def test_run_id_tracks_spec_and_config(self):
-        base = chaos_run_id(self.SPEC, self.CONFIG)
-        assert base == chaos_run_id(self.SPEC, self.CONFIG)
-        assert base != chaos_run_id(validation_spec(failure_scale=51.0),
-                                    self.CONFIG)
-        assert base != chaos_run_id(
+        base = run_id(self.SPEC, self.CONFIG)
+        assert base == run_id(self.SPEC, self.CONFIG)
+        assert base != run_id(validation_spec(failure_scale=51.0),
+                              self.CONFIG)
+        assert base != run_id(
             self.SPEC, dataclasses.replace(self.CONFIG, seed=9))
 
 

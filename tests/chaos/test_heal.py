@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (ChaosConfig, chaos_run_id, cross_validate_heal,
+from repro.chaos import (ChaosConfig, cross_validate_heal,
                          heal_validation_spec, run_chaos, validation_config,
                          validation_spec)
 from repro.chaos.heal import SparePool
@@ -16,6 +16,7 @@ from repro.resilience import (AdaptiveCheckpointController,
                               InterruptRateEstimator)
 from repro.resilience.checkpoint import daly_optimal_interval
 from repro.scheduler.slurm import SlurmScheduler
+from repro.sweep.artifacts import run_id
 from repro.sweep.plan import task_hash
 
 #: One three-arm gate run per module (~2,100 interrupts over 1,000 h),
@@ -208,9 +209,8 @@ class TestResiliencePolicySpec:
 
     def test_policy_changes_the_run_id(self):
         config = validation_config()
-        base = chaos_run_id(validation_spec(), config)
-        healed = chaos_run_id(heal_validation_spec(spare_fraction=0.125),
-                              config)
+        base = run_id(validation_spec(), config)
+        healed = run_id(heal_validation_spec(spare_fraction=0.125), config)
         assert base != healed
 
     def test_prior_scale_rejected_when_not_positive(self):

@@ -11,10 +11,9 @@ from repro.core.scenario import frontier_spec
 from repro.errors import ConfigurationError
 from repro.fabric.maxmin import maxmin_allocate
 from repro.fabric.timeflow import (CongestConfig, FlowSpec, TimeflowConfig,
-                                   TimeflowEngine, congest_run_id, fct_stats,
-                                   incast_pattern, load_congest_artifact,
-                                   run_congest, run_congest_cached,
-                                   validate_victim_impact)
+                                   TimeflowEngine, fct_stats, incast_pattern,
+                                   run_congest, validate_victim_impact)
+from repro.sweep.artifacts import run_id
 
 
 @pytest.fixture(scope="module")
@@ -247,39 +246,10 @@ class TestCongestStudy:
         # ... but the artifact identity is the requested spec
         assert doc["spec"]["name"] == "frontier"
 
-    def test_cached_run_resumes(self, tmp_path):
-        spec = frontier_spec().scaled(8, 4, 4)
-        config = CongestConfig(ks=(10,), include_fifo=False, horizon_s=5e-5)
-        doc1, path1, resumed1 = run_congest_cached(
-            spec, config, out_dir=str(tmp_path))
-        doc2, path2, resumed2 = run_congest_cached(
-            spec, config, out_dir=str(tmp_path))
-        assert (resumed1, resumed2) == (False, True)
-        assert path1 == path2
-        assert json.dumps(doc1, sort_keys=True) \
-            == json.dumps(doc2, sort_keys=True)
-
-    def test_fresh_reruns(self, tmp_path):
-        spec = frontier_spec().scaled(8, 4, 4)
-        config = CongestConfig(ks=(10,), include_fifo=False, horizon_s=5e-5)
-        run_congest_cached(spec, config, out_dir=str(tmp_path))
-        _, _, resumed = run_congest_cached(spec, config,
-                                           out_dir=str(tmp_path), fresh=True)
-        assert not resumed
-
-    def test_corrupt_artifact_is_not_trusted(self, tmp_path):
-        spec = frontier_spec().scaled(8, 4, 4)
-        config = CongestConfig(ks=(10,), include_fifo=False, horizon_s=5e-5)
-        _, path, _ = run_congest_cached(spec, config, out_dir=str(tmp_path))
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        assert load_congest_artifact(str(tmp_path),
-                                     congest_run_id(spec, config)) is None
-
     def test_config_knobs_change_the_run_id(self):
         spec = frontier_spec()
-        a = congest_run_id(spec, CongestConfig())
-        b = congest_run_id(spec, CongestConfig(fanin=16))
+        a = run_id(spec, CongestConfig())
+        b = run_id(spec, CongestConfig(fanin=16))
         assert a != b
 
     def test_empty_study_rejected(self):

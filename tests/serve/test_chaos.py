@@ -11,12 +11,10 @@ failure), and the service still drains cleanly afterwards.  Same
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 
 from repro.core.scenario import frontier_spec
 from repro.serve import ScenarioRequest, ScenarioService, ServeConfig
-from repro.sweep.artifacts import artifact_path
+from repro.sweep.artifacts import artifact_path, load_artifact
 
 SMALL = frontier_spec().scaled(6, 4, 4)
 
@@ -65,11 +63,9 @@ class TestFailureMidBatch:
         first, again = asyncio.run(run())
         assert first.status == "error"
         # the ledger keeps the structured failure for post-mortems...
-        path = artifact_path(str(tmp_path / "ledger"), first.task_id)
-        assert os.path.exists(path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["status"] == "error"
+        doc = load_artifact(artifact_path(str(tmp_path / "ledger"),
+                                          first.task_id))
+        assert doc is not None and doc["status"] == "error"
         assert doc["error"]["type"] == "RuntimeError"
         # ...but the cache refused it: the second ask re-evaluated
         assert again.status == "error"

@@ -308,6 +308,12 @@ class TestCongestVerb:
         assert main(self.args(tmp_path, "--fanin", "4", "--no-fifo")) == 0
         assert len(list(tmp_path.glob("congest-*.json"))) == 2
 
+    def test_sequential_switch_is_gone(self):
+        """The ensemble-vs-sequential oracle lives in the tests and the
+        ``ensemble`` regression probe, not on the command line."""
+        subparsers = build_parser()._subparsers._group_actions[0]
+        assert "--sequential" not in subparsers.choices["congest"].format_help()
+
     def test_validate_passes_and_prints_ratio(self, capsys):
         assert main(["congest", "--validate"]) == 0
         out = capsys.readouterr().out
@@ -382,6 +388,18 @@ class TestSweepGc:
         assert "removed: 1" in out and "errors: 1" in out
         assert "kept: 1" in out
         assert len(list(tmp_path.glob("*.json"))) == 1
+
+    def test_gc_keeps_chaos_and_congest_artifacts(self, tmp_path, capsys):
+        """One ledger: a sweep GC over a shared directory must not judge
+        chaos/congest documents by the sweep task schema."""
+        assert main(TestChaosVerb.args(tmp_path)) == 0
+        assert main(TestCongestVerb.args(tmp_path)) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--gc", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "removed: 0" in out and "kept: 2" in out
+        assert len(list(tmp_path.glob("chaos-*.json"))) == 1
+        assert len(list(tmp_path.glob("congest-*.json"))) == 1
 
     def test_gc_on_missing_directory(self, tmp_path, capsys):
         assert main(["sweep", "--gc", "--out", str(tmp_path / "never")]) == 0
